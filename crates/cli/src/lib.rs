@@ -983,6 +983,24 @@ pub fn run_watch(
     cli: &Cli,
     out: &mut dyn std::io::Write,
 ) -> Result<(), Box<dyn std::error::Error>> {
+    let mut polled = false;
+    watch_revisions(cli, out, || {
+        if std::mem::replace(&mut polled, true) {
+            std::thread::sleep(std::time::Duration::from_millis(cli.poll_ms));
+        }
+        Some(std::fs::read_to_string(&cli.file))
+    })
+}
+
+/// The `watch` loop over an arbitrary source of file contents: `next`
+/// yields the watched file's text at each poll (`None` ends the watch).
+/// [`run_watch`] feeds it by polling the filesystem; tests replay a
+/// fixed sequence of saves.
+fn watch_revisions(
+    cli: &Cli,
+    out: &mut dyn std::io::Write,
+    mut next: impl FnMut() -> Option<std::io::Result<String>>,
+) -> Result<(), Box<dyn std::error::Error>> {
     let threads = effective_threads(cli)?;
     let store = open_store(cli)?.ok_or_else(|| {
         UsageError("watch requires a cache directory (--cache-dir or DEFACTO_CACHE_DIR)".into())
@@ -997,14 +1015,13 @@ pub fn run_watch(
     let mut last: Option<String> = None;
     let mut runs = 0u64;
     let mut revision = 0u64;
-    loop {
-        let text = match std::fs::read_to_string(&cli.file) {
+    while let Some(read) = next() {
+        let text = match read {
             Ok(t) => t,
             Err(e) if last.is_some() => {
                 // Transient: editors replace files non-atomically.
                 writeln!(out, "watch: cannot read `{}`: {e}", cli.file)?;
                 out.flush()?;
-                std::thread::sleep(std::time::Duration::from_millis(cli.poll_ms));
                 continue;
             }
             Err(e) => {
@@ -1077,8 +1094,8 @@ pub fn run_watch(
                 return Ok(());
             }
         }
-        std::thread::sleep(std::time::Duration::from_millis(cli.poll_ms));
     }
+    Ok(())
 }
 
 /// Front-end lint over the source text plus the platform capacity rule.
@@ -1775,30 +1792,21 @@ mod tests {
     #[test]
     fn watch_second_edit_is_warm_and_parse_errors_are_skipped() {
         let dir = tmpdir("watch-edit");
-        let file = dir.join("fir.kernel");
-        std::fs::write(&file, FIR).unwrap();
         let args = format!(
-            "watch {} --cache-dir {} --poll-ms 1 --max-runs 2 --json",
-            file.display(),
+            "watch {} --cache-dir {} --max-runs 2 --json",
+            dir.join("fir.kernel").display(),
             dir.display()
         );
         let cli = parse_args(&argv(&args)).unwrap();
-        // Edit the file from a helper thread: first a mid-save torn write
-        // (parse error, must be skipped), then an alpha-renamed kernel.
+        // Three saves: the kernel, a mid-save torn write (parse error,
+        // must be skipped), then an alpha-renamed kernel.
         let edited = FIR
             .replace(" i ", " q ")
             .replace("C[i]", "C[q]")
             .replace("S[i + j]", "S[q + j]");
-        let path = file.clone();
-        let writer = std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(60));
-            std::fs::write(&path, "kernel fir {").unwrap();
-            std::thread::sleep(std::time::Duration::from_millis(60));
-            std::fs::write(&path, &edited).unwrap();
-        });
+        let mut saves = [FIR.to_string(), "kernel fir {".to_string(), edited].into_iter();
         let mut buf = Vec::new();
-        run_watch(&cli, &mut buf).unwrap();
-        writer.join().unwrap();
+        watch_revisions(&cli, &mut buf, || saves.next().map(Ok)).unwrap();
         let text = String::from_utf8(buf).unwrap();
         let jsons: Vec<serde_json::Value> = text
             .lines()

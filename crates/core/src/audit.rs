@@ -9,7 +9,7 @@
 //! - **visit-unique** — the visited list is duplicate-free: no design
 //!   point is first-visited twice, and every revisit refers to an
 //!   earlier first visit;
-//! - **member-of-space** — every visited point (and every frontier and
+//! - **member-of-space** — every visited point (and every
 //!   `SelectBetween` pick) is a member of the design space;
 //! - **increase-doubles** — each `Increase` step exactly doubles the
 //!   unroll product;
@@ -25,8 +25,6 @@
 //! - **select-between-bounds** — a `SelectBetween` pick's product lies
 //!   strictly between its bracket's products and is a multiple of
 //!   `P(U_init)`;
-//! - **frontier-chain** — the prefetch frontier starts at `U_init` and
-//!   doubles its product at every step;
 //! - **terminate-final** — exactly one `Terminate` event, last in the
 //!   stream;
 //! - **selected-valid** — the selected design was visited, fits the
@@ -66,8 +64,6 @@ pub enum Invariant {
     /// A `SelectBetween` pick violates its bracket or the `P(U_init)`
     /// multiplicity requirement.
     SelectBetweenBounds,
-    /// The frontier is not a doubling chain from `U_init`.
-    FrontierChain,
     /// `Terminate` is missing, duplicated, or not the final event.
     TerminateFinal,
     /// The selected design is unvisited, does not fit, or is outside the
@@ -107,7 +103,6 @@ impl Invariant {
             Invariant::IncreaseDoubles => "increase-doubles",
             Invariant::BalanceMonotone => "balance-monotone",
             Invariant::SelectBetweenBounds => "select-between-bounds",
-            Invariant::FrontierChain => "frontier-chain",
             Invariant::TerminateFinal => "terminate-final",
             Invariant::SelectedValid => "selected-valid",
             Invariant::TierPromotion => "tier-promotion",
@@ -352,40 +347,6 @@ pub fn audit_search_trace(
                             init.product()
                         ),
                     );
-                }
-            }
-            TraceEvent::Frontier { points } => {
-                report.checks += 1;
-                if points.first() != Some(&sat.u_init) {
-                    fail(
-                        &mut report,
-                        Invariant::FrontierChain,
-                        i,
-                        e,
-                        format!("frontier does not start at U_init = {}", sat.u_init),
-                    );
-                }
-                for w in points.windows(2) {
-                    if w[1].product() != 2 * w[0].product() {
-                        fail(
-                            &mut report,
-                            Invariant::FrontierChain,
-                            i,
-                            e,
-                            format!("frontier step {} -> {} does not double", w[0], w[1]),
-                        );
-                    }
-                }
-                for p in points {
-                    if !space.contains(p) {
-                        fail(
-                            &mut report,
-                            Invariant::MemberOfSpace,
-                            i,
-                            e,
-                            format!("frontier point {p} is not in the design space"),
-                        );
-                    }
                 }
             }
             TraceEvent::Terminate { selected, .. } => {

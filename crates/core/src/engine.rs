@@ -3,12 +3,13 @@
 //!
 //! The paper's premise is that estimation is cheap enough to explore a
 //! design space interactively; this engine makes the reproduction scale
-//! the same way on multi-core hosts. Every consumer keeps its serial
-//! semantics: parallel sweeps reassemble results in iteration order, and
-//! the Figure-2 search only *prefetches* its doubling frontier into the
-//! cache before replaying the unchanged serial algorithm, so the visited
-//! sequence, selected design and termination reason are bit-identical to
-//! a single-threaded run.
+//! the same way on multi-core hosts. Workers go only to batches of
+//! independent work — sweeps, tier-0 band passes, joint-strategy
+//! evaluation batches, pristine pipeline stages — and every batch
+//! reassembles its results in input order, so its output is
+//! bit-identical to a single-threaded run. The Figure-2 search is serial
+//! by nature (each step depends on the previous estimate): it runs on
+//! the calling thread and shares only the memo cache.
 //!
 //! Threading is std-only: a [`std::thread::scope`] pool whose workers
 //! claim indices from a shared atomic counter (idle workers "steal" the

@@ -4,9 +4,7 @@
 use crate::engine::{CacheKey, EvalEngine, EvalStats};
 use crate::error::Result;
 use crate::saturation::{saturation_analysis, SaturationInfo};
-use crate::search::{
-    doubling_frontier, run_search_instrumented, SearchConfig, SearchResult, VisitOutcome,
-};
+use crate::search::{run_search_instrumented, SearchConfig, SearchResult, VisitOutcome};
 use crate::space::{Axis, DesignSpace, JointPoint};
 use crate::strategy::{strategy_for, StrategyContext, StrategyKind};
 use crate::trace::{NullSink, TraceEvent, TraceSink};
@@ -491,7 +489,7 @@ impl<'k> Explorer<'k> {
     /// before evaluating, evaluations are written back, and
     /// [`Explorer::explore`] records its selection for warm starts.
     /// Search traces and selections are unaffected — a store hit is
-    /// indistinguishable from a prefetch-warmed memo entry.
+    /// indistinguishable from an in-memory memo hit.
     pub fn persistent(mut self, store: Arc<PersistentCache>) -> Self {
         self.store = Some(store);
         self
@@ -609,13 +607,13 @@ impl<'k> Explorer<'k> {
 
     /// Run the paper's Figure-2 search.
     ///
-    /// With more than one worker, the doubling frontier (the chain of
-    /// points the search visits while compute bound) is speculatively
-    /// evaluated in one parallel batch first; the serial algorithm then
-    /// replays over the warm cache, so the visited sequence, selected
-    /// design and termination reason are bit-identical to a
-    /// single-threaded run. `result.stats` reports the engine-wide
-    /// counters for this call, speculative evaluations included.
+    /// The search is serial by nature — each step depends on the
+    /// previous estimate — so it runs on the calling thread at every
+    /// worker count and evaluates exactly the points it visits: a cold
+    /// run reports `stats.evaluated == visited.len()`, and the visited
+    /// sequence, selection and trace do not depend on the engine's
+    /// worker count. `result.stats` reports the engine-wide counters for
+    /// this call.
     ///
     /// Fidelity: under [`Fidelity::Multi`] the visited sequence,
     /// selection and termination stay bit-identical to
@@ -638,26 +636,6 @@ impl<'k> Explorer<'k> {
             if let Some(model) = self.analytic_model() {
                 let model = model.clone();
                 return self.explore_analytic(started, &sat, &space, &model);
-            }
-        }
-        if self.engine.threads() > 1 || self.sink.enabled() {
-            let frontier = doubling_frontier(&space, &sat);
-            // The frontier is a pure function of the space, so the event
-            // is identical whether or not a prefetch actually runs —
-            // traces stay byte-identical across worker counts.
-            if self.sink.enabled() {
-                self.sink.record(&TraceEvent::Frontier {
-                    points: frontier.clone(),
-                });
-            }
-            if self.engine.threads() > 1 {
-                // Speculative: a frontier point past where the serial
-                // search stops may legitimately fail to evaluate; the
-                // replay below surfaces any error the serial algorithm
-                // would actually hit.
-                for outcome in self.engine.parallel_map(&frontier, |u| self.evaluate(u)) {
-                    drop(outcome);
-                }
             }
         }
         let tier0 = match self.fidelity {
@@ -749,11 +727,6 @@ impl<'k> Explorer<'k> {
         space: &DesignSpace,
         model: &Arc<AnalyticModel>,
     ) -> Result<SearchResult> {
-        if self.sink.enabled() {
-            self.sink.record(&TraceEvent::Frontier {
-                points: doubling_frontier(space, sat),
-            });
-        }
         let mut memo: HashMap<UnrollVector, Estimate> = HashMap::new();
         let mut result = run_search_instrumented(
             space,

@@ -18,7 +18,6 @@
 use crate::engine::EvalEngine;
 use crate::error::{DseError, Result};
 use crate::explorer::{EvaluatedDesign, Explorer, Fidelity};
-use crate::search::SearchResult;
 use crate::strategies::hill_climb;
 use crate::trace::{NullSink, TraceEvent, TraceSink};
 use defacto_ir::{ArrayKind, Kernel};
@@ -46,7 +45,7 @@ impl PipelineStage {
 }
 
 /// Where one stage landed.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StagePlacement {
     /// The stage's name.
     pub stage: String,
@@ -59,7 +58,7 @@ pub struct StagePlacement {
 }
 
 /// The result of mapping a pipeline onto multiple FPGAs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PipelineMapping {
     /// Per-stage placements, in pipeline order.
     pub placements: Vec<StagePlacement>,
@@ -200,32 +199,31 @@ pub fn map_pipeline(
     let mut remaining: Vec<u32> = vec![opts.device.capacity_slices; num_fpgas];
     let mut placements: Vec<StagePlacement> = Vec::new();
 
-    // Stages are independent searches, so explore them all concurrently
-    // at *full* device capacity before placing anything. The serial
-    // placement loop below reuses a speculative result only when the
-    // stage really is granted a pristine FPGA (its assigned capacity
-    // equals the full device) — co-located stages see reduced capacity
-    // and re-explore serially, so packed placements are bit-identical to
-    // the all-serial mapping. Speculative failures are discarded: the
-    // serial path re-runs the stage and surfaces the real error.
-    let engine = EvalEngine::with_threads(opts.threads);
-    let mut speculative: Vec<Option<SearchResult>> = if engine.threads() > 1 && stages.len() > 1 {
-        engine
-            .parallel_map(stages, |stage| {
-                Explorer::new(&stage.kernel)
-                    .memory(opts.memory.clone())
-                    .device(opts.device.clone())
-                    .options(opts.transform.clone())
-                    .fidelity(opts.fidelity)
-                    .threads(1)
-                    .explore()
+    let explore = |stage: &PipelineStage, fpga: usize, capacity: u32| {
+        Explorer::new(&stage.kernel)
+            .memory(opts.memory.clone())
+            .device(FpgaDevice {
+                name: format!("{}#{fpga}", opts.device.name),
+                capacity_slices: capacity,
+                clock_ns: opts.device.clock_ns,
             })
-            .into_iter()
-            .map(|r| r.ok())
-            .collect()
-    } else {
-        (0..stages.len()).map(|_| None).collect()
+            .options(opts.transform.clone())
+            .fidelity(opts.fidelity)
+            .explore()
     };
+    // Every FPGA starts at full capacity, so the first min(stages, FPGAs)
+    // stages each land on a pristine host: their searches do not depend
+    // on the placement and run as one batch of independent work. The
+    // device name is not part of the estimate context, so a batched
+    // search selects exactly what a search on its real host would. Later
+    // stages co-locate and explore serially at their host's remaining
+    // capacity.
+    let pristine: Vec<usize> = (0..stages.len().min(num_fpgas)).collect();
+    let mut batch = EvalEngine::with_threads(opts.threads)
+        .parallel_map(&pristine, |&i| {
+            explore(&stages[i], i, opts.device.capacity_slices)
+        })
+        .into_iter();
 
     for (idx, stage) in stages.iter().enumerate() {
         // Host: FPGA with the most remaining slices (round-robin when
@@ -233,22 +231,9 @@ pub fn map_pipeline(
         let fpga = (0..num_fpgas)
             .max_by_key(|&f| (remaining[f], std::cmp::Reverse(f)))
             .expect("at least one fpga");
-        let capacity = remaining[fpga];
-        let result = match speculative[idx].take() {
-            Some(r) if capacity == opts.device.capacity_slices => r,
-            _ => {
-                let device = FpgaDevice {
-                    name: format!("{}#{fpga}", opts.device.name),
-                    capacity_slices: capacity,
-                    clock_ns: opts.device.clock_ns,
-                };
-                Explorer::new(&stage.kernel)
-                    .memory(opts.memory.clone())
-                    .device(device)
-                    .options(opts.transform.clone())
-                    .fidelity(opts.fidelity)
-                    .explore()?
-            }
+        let result = match batch.next() {
+            Some(batched) => batched?,
+            None => explore(stage, fpga, remaining[fpga])?,
         };
         let design = result.selected;
 
@@ -411,14 +396,25 @@ mod tests {
     #[test]
     fn packing_two_stages_on_one_fpga_shares_capacity() {
         let stages = image_pipeline();
-        let one = map_pipeline(&stages, 1, &PipelineOptions::default()).unwrap();
+        let map = |fpgas, threads| {
+            let opts = PipelineOptions {
+                threads: Some(threads),
+                ..PipelineOptions::default()
+            };
+            map_pipeline(&stages, fpgas, &opts).unwrap()
+        };
+        let one = map(1, 1);
         assert_eq!(one.placements[0].fpga, 0);
         assert_eq!(one.placements[1].fpga, 0);
         // Combined designs fit the single device.
         assert!(one.slices_per_fpga[0] <= FpgaDevice::virtex1000().capacity_slices);
         // Two FPGAs give at least as good a throughput.
-        let two = map_pipeline(&stages, 2, &PipelineOptions::default()).unwrap();
+        let two = map(2, 1);
         assert!(two.throughput_cycles <= one.throughput_cycles);
+        // The batch of pristine stages maps exactly as a single worker
+        // does, with stages > FPGAs (packed) and stages <= FPGAs.
+        assert_eq!(map(1, 4), one);
+        assert_eq!(map(2, 4), two);
     }
 
     #[test]

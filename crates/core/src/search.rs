@@ -87,7 +87,9 @@ pub struct SearchResult {
     pub saturation: SaturationInfo,
     /// Evaluation counters for this run, from the evaluator's cache-hit
     /// flags. [`crate::Explorer::explore`] overwrites it with the
-    /// engine-wide view (speculative prefetches included).
+    /// engine-wide view (wall times, persistent-store and tier-0
+    /// counters); its evaluations are exactly the visited points the
+    /// caches could not answer.
     pub stats: EvalStats,
 }
 
@@ -194,7 +196,8 @@ impl SearchState<'_> {
                 slices: outcome.estimate.slices,
                 fits: outcome.estimate.fits,
                 // The deterministic search-level revisit flag, NOT the
-                // evaluator's cache flag (which depends on prefetching).
+                // evaluator's cache flag (which depends on what earlier
+                // runs left in the memo or persistent store).
                 cache_hit: revisit,
             });
         }
@@ -392,11 +395,11 @@ where
 
 /// The chain of design points the search visits while every estimate
 /// stays compute bound: the saturation point, then each `Increase` step
-/// (product doubling) up to the restricted maximum. The parallel engine
-/// speculatively evaluates this frontier in one batch before the serial
-/// search replays over the warm cache — the serial algorithm visits a
+/// (product doubling) up to the restricted maximum. The search visits a
 /// prefix of exactly this chain until it leaves the compute-bound
-/// regime, so prefetching it never changes which design is selected.
+/// regime, so the chain bounds how far its doubling phase can reach.
+/// The search itself does not call this; it is exported for tools that
+/// reason about that reach.
 pub fn doubling_frontier(space: &DesignSpace, sat: &SaturationInfo) -> Vec<UnrollVector> {
     let u_max = restricted_max(space, sat);
     let mut frontier = vec![sat.u_init.clone()];

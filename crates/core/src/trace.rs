@@ -37,8 +37,8 @@ pub enum TraceEvent {
     /// The search asked for one design point's estimate. `cache_hit` is
     /// the *search-level* revisit flag — true when this exact point was
     /// already visited earlier in the same search — so it is identical
-    /// at any worker count (an engine-level prefetch hit is not a
-    /// revisit).
+    /// at any worker count and whether or not a memo or persistent
+    /// cache answered (a cache hit on a first visit is not a revisit).
     Visit {
         /// The design point.
         unroll: UnrollVector,
@@ -81,15 +81,6 @@ pub enum TraceEvent {
         init: UnrollVector,
         /// The largest fitting member found (the base vector if none).
         chosen: UnrollVector,
-    },
-    /// The doubling frontier — the chain of points the search visits
-    /// while compute bound, which the parallel engine speculatively
-    /// prefetches. Emitted before the search replays serially; the
-    /// chain is a pure function of the space, so it is identical
-    /// whether or not a prefetch actually ran.
-    Frontier {
-        /// The chain, saturation point first, products doubling.
-        points: Vec<UnrollVector>,
     },
     /// The search stopped; `selected` is the design it returns.
     Terminate {
@@ -312,13 +303,6 @@ impl TraceEvent {
                 json_factors(init),
                 json_factors(chosen),
             ),
-            TraceEvent::Frontier { points } => {
-                let inner: Vec<String> = points.iter().map(json_factors).collect();
-                format!(
-                    "{{\"event\":\"frontier\",\"points\":[{}]}}",
-                    inner.join(",")
-                )
-            }
             TraceEvent::Terminate { reason, selected } => format!(
                 "{{\"event\":\"terminate\",\"reason\":\"{}\",\"selected\":{}}}",
                 termination_label(*reason),
@@ -431,9 +415,9 @@ pub trait TraceSink: Send + Sync + std::fmt::Debug {
     /// Record one event.
     fn record(&self, event: &TraceEvent);
 
-    /// Whether recording has any effect. The explorer skips computing
-    /// trace-only artifacts (e.g. the frontier event at one worker) when
-    /// the sink is disabled.
+    /// Whether recording has any effect. Emitters skip building events
+    /// (e.g. the multi-fidelity `TierPromote` records) when the sink is
+    /// disabled.
     fn enabled(&self) -> bool {
         true
     }

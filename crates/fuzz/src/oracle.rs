@@ -12,7 +12,8 @@
 //!   interpreter on the original kernel and on the fully transformed
 //!   design, a per-pass IR-verifier failure, a full/multi fidelity
 //!   disagreement or analytic band that excludes the exact estimate, a
-//!   dirty or nondeterministic search trace, a canonicalization break
+//!   dirty or nondeterministic search trace (or one whose evaluation
+//!   count changes with the worker count), a canonicalization break
 //!   (an alpha-renamed variant hashing differently, or a warm persistent
 //!   cache changing the selection), a legality break (a statically-legal
 //!   joint-space point failing to transform, a transformed legal point
@@ -46,7 +47,8 @@ pub enum Oracle {
     /// Full vs. multi fidelity disagreement, or a tier-0 band that fails
     /// to contain the exact tier-1 estimate.
     Fidelity,
-    /// A search trace failed its audit or differed across worker counts.
+    /// A search trace failed its audit, or its trace, selection or
+    /// evaluation count differed across worker counts.
     Audit,
     /// Canonicalization broke content addressing: an alpha-renamed,
     /// declaration-reordered variant hashed differently, or a warm
@@ -431,9 +433,11 @@ fn check_case_inner(
     }
 
     // Oracle 4: search traces audit clean at every worker count and are
-    // byte-identical across them (the engine's determinism contract).
+    // byte-identical across them (the engine's determinism contract), and
+    // every worker count pays for the same evaluations.
     let mut traces: Vec<(usize, String)> = Vec::new();
     let mut selected: Vec<(usize, UnrollVector)> = Vec::new();
+    let mut evaluated: Vec<(usize, u64)> = Vec::new();
     for &w in &cfg.workers {
         let sink = Arc::new(MemorySink::new());
         let traced = explorer.clone().threads(w).trace(sink.clone());
@@ -465,6 +469,7 @@ fn check_case_inner(
         checks += 1;
         traces.push((w, to_jsonl(&events)));
         selected.push((w, result.selected.unroll));
+        evaluated.push((w, result.stats.evaluated));
     }
     if let Some(pair) = traces.windows(2).find(|p| p[0].1 != p[1].1) {
         return Ok(CaseOutcome::Violation(Violation {
@@ -483,6 +488,16 @@ fn check_case_inner(
                 pair[0].1.factors(),
                 pair[1].0,
                 pair[1].1.factors(),
+            ),
+        }));
+    }
+    if let Some(pair) = evaluated.windows(2).find(|p| p[0].1 != p[1].1) {
+        return Ok(CaseOutcome::Violation(Violation {
+            oracle: Oracle::Audit,
+            stage: format!("work-determinism@{}v{}", pair[0].0, pair[1].0),
+            detail: format!(
+                "workers={} evaluates {} points, workers={} evaluates {}",
+                pair[0].0, pair[0].1, pair[1].0, pair[1].1,
             ),
         }));
     }

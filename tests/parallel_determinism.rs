@@ -3,18 +3,18 @@
 //! The engine's contract (see `defacto::engine`) is that worker count is
 //! a pure throughput knob: sweeps come back in the space's iteration
 //! order, and the Figure-2 search visits the same sequence, selects the
-//! same design and terminates for the same reason at any thread count.
-//! These tests pin that contract on FIR and MM at 1, 2 and 8 workers,
-//! comparing against an explicitly single-threaded reference run.
+//! same design and terminates for the same reason at any thread count,
+//! evaluating exactly the points it visits. These tests pin that
+//! contract on the five paper kernels at 1, 2 and 8 workers, comparing
+//! against an explicitly single-threaded reference run.
 
 use defacto::prelude::*;
 use defacto_ir::Kernel;
-use defacto_kernels::{fir, matmul};
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
 
 fn suite() -> Vec<(&'static str, Kernel)> {
-    vec![("FIR", fir::kernel()), ("MM", matmul::kernel())]
+    defacto_kernels::paper_kernels()
 }
 
 #[test]
@@ -57,6 +57,12 @@ fn parallel_search_selects_identically_to_serial() {
             );
             assert_eq!(parallel.space_size, serial.space_size, "{name}");
             assert_eq!(parallel.stats.workers, workers, "{name}");
+            // A cold search pays for exactly the points it visits.
+            assert_eq!(
+                parallel.stats.evaluated,
+                parallel.visited.len() as u64,
+                "{name} evaluated work differs from visited at {workers} workers"
+            );
         }
     }
 }
@@ -82,28 +88,32 @@ fn reexploration_is_served_from_the_memo_cache() {
 }
 
 /// The pool genuinely overlaps evaluations: eight blocking items on
-/// eight workers finish in a fraction of the serial time. (Sleeping is
-/// used instead of compute so the test also demonstrates overlap on
-/// single-core CI hosts, where CPU-bound speedup is physically capped.)
+/// eight workers are all in flight at once. Each item waits until every
+/// item has started, so the proof is a counter, not a wall clock (and it
+/// holds on single-core hosts, where CPU-bound speedup is capped). The
+/// deadline only turns a broken pool into a failure instead of a hang.
 #[test]
 fn worker_pool_overlaps_blocking_evaluations() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::{Duration, Instant};
     let items: Vec<u32> = (0..8).collect();
-    let nap = Duration::from_millis(25);
-    let time = |engine: &EvalEngine| {
-        let t = Instant::now();
-        let results = engine.parallel_map(&items, |_| {
-            std::thread::sleep(nap);
-            Ok(())
-        });
-        assert!(results.iter().all(Result::is_ok));
-        t.elapsed()
-    };
-    let serial = time(&EvalEngine::new(1));
-    let parallel = time(&EvalEngine::new(8));
-    assert!(
-        parallel * 3 < serial,
-        "8 workers should overlap blocking work >=3x (serial {serial:?}, parallel {parallel:?})"
+    let in_flight = AtomicUsize::new(0);
+    let max_in_flight = AtomicUsize::new(0);
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let results = EvalEngine::new(8).parallel_map(&items, |_| {
+        let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+        max_in_flight.fetch_max(now, Ordering::SeqCst);
+        while max_in_flight.load(Ordering::SeqCst) < items.len() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        in_flight.fetch_sub(1, Ordering::SeqCst);
+        Ok(())
+    });
+    assert!(results.iter().all(Result::is_ok));
+    assert_eq!(
+        max_in_flight.load(Ordering::SeqCst),
+        items.len(),
+        "8 workers should hold all 8 blocking items in flight at once"
     );
 }
 
