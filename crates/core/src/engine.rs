@@ -205,9 +205,6 @@ pub struct EvalStats {
     /// Like tier-0 work, strategy evaluations bypass the memo cache, so
     /// the explorer fills this in itself.
     pub strategy_visited: u64,
-    /// Joint points a strategy's tier-0 bound excluded without a tier-1
-    /// evaluation (guided joint runs only).
-    pub bounded_pruned: u64,
 }
 
 impl EvalStats {
@@ -257,7 +254,6 @@ impl PartialEq for EvalStats {
             && self.persist_hits == other.persist_hits
             && self.persist_misses == other.persist_misses
             && self.strategy_visited == other.strategy_visited
-            && self.bounded_pruned == other.bounded_pruned
     }
 }
 
@@ -381,74 +377,43 @@ impl EvalEngine {
     }
 
     /// Evaluate through the memo cache: a hit returns the cached
-    /// estimate, a miss runs `eval` and memoizes the result. Failed
-    /// evaluations are not cached.
-    ///
-    /// # Errors
-    ///
-    /// Propagates `eval` failures.
-    pub fn evaluate_cached<F>(&self, key: &CacheKey, eval: F) -> Result<Estimate>
-    where
-        F: FnOnce() -> Result<Estimate>,
-    {
-        self.evaluate_cached_flagged(key, eval).map(|(e, _)| e)
-    }
-
-    /// Like [`Self::evaluate_cached`], also reporting whether the lookup
-    /// hit the cache. The evaluator's wall time is accumulated into the
+    /// estimate, a miss runs `eval` and memoizes the result; the returned
+    /// flag is true when a cache layer answered. Failed evaluations are
+    /// not cached. The evaluator's wall time is accumulated into the
     /// engine's `eval_nanos` counter.
     ///
-    /// # Errors
-    ///
-    /// Propagates `eval` failures.
-    pub fn evaluate_cached_flagged<F>(&self, key: &CacheKey, eval: F) -> Result<(Estimate, bool)>
-    where
-        F: FnOnce() -> Result<Estimate>,
-    {
-        if let Some(e) = self.cache.get(key) {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((e, true));
-        }
-        let started = Instant::now();
-        let e = eval()?;
-        self.eval_nanos
-            .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        self.evaluated.fetch_add(1, Ordering::Relaxed);
-        self.cache.insert(key.clone(), e.clone());
-        Ok((e, false))
-    }
-
-    /// Like [`Self::evaluate_cached_flagged`], with a persistent store
-    /// consulted between the memo cache and the evaluator: a memo miss
-    /// first calls `lookup` (e.g. a content-addressed on-disk cache),
-    /// and a hit there is promoted into the memo and counted as a
+    /// `lookup`, when given, is a persistent store consulted between the
+    /// memo and the evaluator (e.g. a content-addressed on-disk cache).
+    /// A hit there is promoted into the memo and counted as a
     /// `persist_hit` — *not* as an evaluation or a memo hit, so the
-    /// returned flag and the `evaluated`/`cache_hits` counters stay
-    /// identical to a run whose memo was warmed any other way.
+    /// `evaluated`/`cache_hits` counters stay identical to a run whose
+    /// memo was warmed any other way — and a miss as a `persist_miss`.
+    /// Without a store both counters stay untouched.
     ///
     /// # Errors
     ///
     /// Propagates `eval` failures.
-    pub fn evaluate_cached_tiered<L, F>(
+    pub fn evaluate_cached<F>(
         &self,
         key: &CacheKey,
-        lookup: L,
+        lookup: Option<&dyn Fn() -> Option<Estimate>>,
         eval: F,
     ) -> Result<(Estimate, bool)>
     where
-        L: FnOnce() -> Option<Estimate>,
         F: FnOnce() -> Result<Estimate>,
     {
         if let Some(e) = self.cache.get(key) {
             self.cache_hits.fetch_add(1, Ordering::Relaxed);
             return Ok((e, true));
         }
-        if let Some(e) = lookup() {
-            self.persist_hits.fetch_add(1, Ordering::Relaxed);
-            self.cache.insert(key.clone(), e.clone());
-            return Ok((e, true));
+        if let Some(lookup) = lookup {
+            if let Some(e) = lookup() {
+                self.persist_hits.fetch_add(1, Ordering::Relaxed);
+                self.cache.insert(key.clone(), e.clone());
+                return Ok((e, true));
+            }
+            self.persist_misses.fetch_add(1, Ordering::Relaxed);
         }
-        self.persist_misses.fetch_add(1, Ordering::Relaxed);
         let started = Instant::now();
         let e = eval()?;
         self.eval_nanos
@@ -575,25 +540,54 @@ mod tests {
         let engine = EvalEngine::new(2);
         let k = key(&[4, 1], 1);
         let (e, hit) = engine
-            .evaluate_cached_flagged(&k, || Ok(estimate(5)))
+            .evaluate_cached(&k, None, || Ok(estimate(5)))
             .unwrap();
         assert_eq!(e.cycles, 5);
         assert!(!hit);
         // Second lookup must not re-run the evaluator.
         let (e, hit) = engine
-            .evaluate_cached_flagged(&k, || panic!("must be served from cache"))
+            .evaluate_cached(&k, None, || panic!("must be served from cache"))
             .unwrap();
         assert_eq!(e.cycles, 5);
         assert!(hit);
         let counters = engine.counters();
         assert_eq!((counters.evaluated, counters.cache_hits), (1, 1));
+        assert_eq!((counters.persist_hits, counters.persist_misses), (0, 0));
+    }
+
+    #[test]
+    fn store_lookup_sits_between_memo_and_evaluator() {
+        let engine = EvalEngine::new(1);
+        let stored = || Some(estimate(3));
+        let (e, hit) = engine
+            .evaluate_cached(&key(&[2], 1), Some(&stored), || panic!("store answers"))
+            .unwrap();
+        assert_eq!((e.cycles, hit), (3, true));
+        let empty = || None;
+        let (e, hit) = engine
+            .evaluate_cached(&key(&[4], 1), Some(&empty), || Ok(estimate(8)))
+            .unwrap();
+        assert_eq!((e.cycles, hit), (8, false));
+        // Both answers were promoted into the memo: the store is not
+        // consulted again.
+        for k in [key(&[2], 1), key(&[4], 1)] {
+            let (_, hit) = engine
+                .evaluate_cached(&k, Some(&|| panic!("memo answers")), || {
+                    panic!("memo answers")
+                })
+                .unwrap();
+            assert!(hit);
+        }
+        let c = engine.counters();
+        assert_eq!((c.evaluated, c.cache_hits), (1, 2));
+        assert_eq!((c.persist_hits, c.persist_misses), (1, 1));
     }
 
     #[test]
     fn failed_evaluations_are_not_cached() {
         let engine = EvalEngine::new(1);
         let k = key(&[1], 0);
-        let err = engine.evaluate_cached(&k, || Err(DseError::NoLoops));
+        let err = engine.evaluate_cached(&k, None, || Err(DseError::NoLoops));
         assert!(err.is_err());
         assert!(engine.cache().is_empty());
         let counters = engine.counters();
@@ -605,7 +599,7 @@ mod tests {
         let engine = EvalEngine::new(1);
         let before = engine.counters();
         engine
-            .evaluate_cached(&key(&[2], 0), || {
+            .evaluate_cached(&key(&[2], 0), None, || {
                 std::thread::sleep(Duration::from_millis(2));
                 Ok(estimate(1))
             })

@@ -3,19 +3,20 @@
 
 use crate::engine::{CacheKey, EvalEngine, EvalStats};
 use crate::error::Result;
-use crate::saturation::{saturation_analysis, SaturationInfo};
+use crate::saturation::{analyze_prepared, preparation_error, SaturationInfo};
 use crate::search::{run_search_instrumented, SearchConfig, SearchResult, VisitOutcome};
 use crate::space::{Axis, DesignSpace, JointPoint};
 use crate::strategy::{strategy_for, StrategyContext, StrategyKind};
 use crate::trace::{NullSink, TraceEvent, TraceSink};
 use defacto_cache::{AnalysisSummary, ContextKey, PersistentCache, SelectionRecord};
-use defacto_ir::{ContentHash, Kernel};
+use defacto_ir::{CanonicalKernel, ContentHash, Kernel, Loop};
 use defacto_synth::{
     estimate_opts, AnalyticBand, AnalyticModel, Estimate, FpgaDevice, JointAnalyticModel,
     MemoryModel, SynthesisOptions,
 };
 use defacto_xform::{
     transform, PreparedKernel, TransformOptions, TransformedDesign, UnrollVector, VariantCache,
+    XformError,
 };
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
@@ -123,7 +124,7 @@ pub struct JointSearchResult {
     /// Size of the joint space searched.
     pub space_points: u64,
     /// Evaluation counters for this call (`strategy_visited` and
-    /// `bounded_pruned` filled in).
+    /// `tier0_pruned` filled in).
     pub stats: EvalStats,
 }
 
@@ -151,15 +152,17 @@ pub struct Explorer<'k> {
     /// store pairs it with the canonical kernel hash instead, so
     /// alpha-renamed or decl-reordered kernels share on-disk entries.
     persist_context: u64,
-    /// Canonical content hash of the kernel (see [`defacto_ir::canon`]),
-    /// computed on first persistent-store use.
-    canonical: OnceLock<ContentHash>,
+    /// Canonical form of the kernel (see [`defacto_ir::canon`]),
+    /// computed once on first use: the store key, the persisted analysis
+    /// summary and incremental edit diffs all read it.
+    canonical: OnceLock<Arc<CanonicalKernel>>,
     /// Optional persistent content-addressed store consulted between the
     /// engine's memo cache and a full evaluation.
     store: Option<Arc<PersistentCache>>,
-    /// Point-invariant pipeline artifacts, prepared lazily on the first
-    /// evaluation and shared (clones included) across workers.
-    prepared: OnceLock<Option<Arc<PreparedKernel>>>,
+    /// Point-invariant pipeline artifacts, prepared lazily on first use
+    /// and shared (clones included) across workers — or the preparation
+    /// error, which analysis reports as its typed error.
+    prepared: OnceLock<std::result::Result<Arc<PreparedKernel>, XformError>>,
     /// Evaluation fidelity policy.
     fidelity: Fidelity,
     /// Joint-space axes, when multi-axis exploration was requested with
@@ -420,9 +423,16 @@ impl<'k> Explorer<'k> {
     }
 
     fn prepared(&self) -> Option<&Arc<PreparedKernel>> {
+        self.preparation().ok()
+    }
+
+    /// The prepared kernel, or the typed analysis error of a kernel that
+    /// does not prepare.
+    fn preparation(&self) -> Result<&Arc<PreparedKernel>> {
         self.prepared
-            .get_or_init(|| PreparedKernel::prepare(self.kernel).ok().map(Arc::new))
+            .get_or_init(|| PreparedKernel::prepare(self.kernel).map(Arc::new))
             .as_ref()
+            .map_err(|e| preparation_error(e.clone()))
     }
 
     /// Seed the point-invariant pipeline artifacts — e.g. from
@@ -431,22 +441,23 @@ impl<'k> Explorer<'k> {
     /// seeding a foreign preparation is unsound. No-op if an evaluation
     /// already prepared lazily.
     pub fn with_prepared(self, prepared: Arc<PreparedKernel>) -> Self {
-        let _ = self.prepared.set(Some(prepared));
+        let _ = self.prepared.set(Ok(prepared));
         self
     }
 
     /// The shared point-invariant artifacts, if any evaluation (or
     /// [`Explorer::with_prepared`]) has produced them.
     pub fn prepared_arc(&self) -> Option<Arc<PreparedKernel>> {
-        self.prepared.get().and_then(Clone::clone)
+        self.prepared.get()?.as_ref().ok().cloned()
     }
 
     /// Offset-copy cache statistics `(hits, misses)` of the prepared
-    /// evaluation path, if any design has been evaluated yet.
+    /// evaluation path, once the kernel has been prepared.
     pub fn prepared_stats(&self) -> Option<(u64, u64)> {
         self.prepared
-            .get()
-            .and_then(Option::as_ref)
+            .get()?
+            .as_ref()
+            .ok()
             .map(|p| p.copy_cache_stats())
     }
 
@@ -500,11 +511,15 @@ impl<'k> Explorer<'k> {
         self.store.as_ref()
     }
 
-    /// Canonical content hash of the kernel (computed once).
+    /// Canonical form of the kernel (computed once per explorer).
+    pub(crate) fn canonical(&self) -> &Arc<CanonicalKernel> {
+        self.canonical
+            .get_or_init(|| Arc::new(defacto_ir::canonicalize(self.kernel)))
+    }
+
+    /// Canonical content hash of the kernel.
     pub fn canonical_hash(&self) -> ContentHash {
-        *self
-            .canonical
-            .get_or_init(|| defacto_ir::content_hash(self.kernel))
+        self.canonical().hash
     }
 
     /// The persistent-store key of this explorer's configuration.
@@ -566,23 +581,20 @@ impl<'k> Explorer<'k> {
                 &self.synthesis,
             ))
         };
-        match &self.store {
-            None => self
+        let Some(store) = &self.store else {
+            return self
                 .engine
-                .evaluate_cached_flagged(&self.cache_key(unroll), eval),
-            Some(store) => {
-                let key = self.persist_key();
-                let (estimate, hit) = self.engine.evaluate_cached_tiered(
-                    &self.cache_key(unroll),
-                    || store.lookup_estimate(key, unroll.factors()),
-                    eval,
-                )?;
-                if !hit {
-                    store.insert_estimate(key, unroll.factors(), &estimate);
-                }
-                Ok((estimate, hit))
-            }
+                .evaluate_cached(&self.cache_key(unroll), None, eval);
+        };
+        let key = self.persist_key();
+        let lookup = || store.lookup_estimate(key, unroll.factors());
+        let (estimate, hit) =
+            self.engine
+                .evaluate_cached(&self.cache_key(unroll), Some(&lookup), eval)?;
+        if !hit {
+            store.insert_estimate(key, unroll.factors(), &estimate);
         }
+        Ok((estimate, hit))
     }
 
     /// [`Explorer::evaluate`], also reporting whether a cache layer
@@ -596,13 +608,20 @@ impl<'k> Explorer<'k> {
         })
     }
 
-    /// Saturation analysis and the design space for this configuration.
+    /// Saturation analysis and the design space for this configuration,
+    /// read off the explorer's prepared kernel (a seeded
+    /// [`Explorer::with_prepared`] one included) — the same answer as
+    /// [`crate::saturation_analysis`] without a second front end.
     ///
     /// # Errors
     ///
     /// Fails when the kernel is not a perfect loop nest.
     pub fn analyze(&self) -> Result<(SaturationInfo, DesignSpace)> {
-        saturation_analysis(self.kernel, &self.opts, self.explore_override.as_deref())
+        analyze_prepared(
+            self.preparation()?,
+            &self.opts,
+            self.explore_override.as_deref(),
+        )
     }
 
     /// Run the paper's Figure-2 search.
@@ -698,8 +717,7 @@ impl<'k> Explorer<'k> {
             },
         );
         if let Some(prepared) = self.prepared() {
-            let canonical = defacto_ir::canonicalize(self.kernel);
-            if let Some(innermost) = canonical.subtree("innermost") {
+            if let Some(innermost) = self.canonical().subtree("innermost") {
                 let sets = prepared.base_sets();
                 store.record_analysis(
                     key.kernel,
@@ -775,25 +793,21 @@ impl<'k> Explorer<'k> {
     /// Fails when the kernel is not a perfect loop nest or does not
     /// prepare.
     pub fn joint_space(&self) -> Result<DesignSpace> {
+        let (info, _) = self.analyze()?;
+        self.joint_space_for(&info)
+    }
+
+    /// [`Explorer::joint_space`] over an already computed saturation
+    /// analysis.
+    fn joint_space_for(&self, info: &SaturationInfo) -> Result<DesignSpace> {
         let axes = match &self.axes {
             Some(a) => a.clone(),
             None => vec![Axis::Unroll],
         };
-        let (info, _) = self.analyze()?;
-        let prepared = match self.prepared() {
-            Some(p) => p.clone(),
-            // Preparation fails deterministically; reproduce its error.
-            None => match PreparedKernel::prepare(self.kernel) {
-                Err(e) => return Err(e.into()),
-                Ok(p) => Arc::new(p),
-            },
-        };
-        let nest = self
-            .kernel
-            .perfect_nest()
-            .expect("saturation analysis accepted the nest");
+        let prepared = self.preparation()?;
+        let trips: Vec<i64> = prepared.loops().iter().map(Loop::trip_count).collect();
         Ok(DesignSpace::with_axes(
-            &nest.trip_counts(),
+            &trips,
             &info.unrollable,
             prepared.legality(),
             &axes,
@@ -861,11 +875,12 @@ impl<'k> Explorer<'k> {
     pub fn joint_explore(&self, kind: StrategyKind) -> Result<JointSearchResult> {
         let started = Instant::now();
         let before = self.engine.counters();
-        let space = self.joint_space()?;
+        let (info, _) = self.analyze()?;
+        let space = self.joint_space_for(&info)?;
         let cx = ExplorerStrategyCx {
             ex: self,
             points: space.joint_points().to_vec(),
-            seed: self.joint_seed(&space),
+            seed: Self::joint_seed(&info, &space),
             model: self.joint_analytic_model().cloned(),
             bands_priced: Cell::new(0),
         };
@@ -873,7 +888,6 @@ impl<'k> Explorer<'k> {
         let selected = crate::exhaustive::best_joint_performance(&outcome.evaluated).cloned();
         let mut stats = self.engine.stats_since(before, started.elapsed());
         stats.strategy_visited = outcome.evaluated.len() as u64;
-        stats.bounded_pruned = outcome.pruned;
         stats.tier0_evaluated = cx.bands_priced.get();
         stats.tier0_pruned = outcome.pruned;
         Ok(JointSearchResult {
@@ -891,8 +905,7 @@ impl<'k> Explorer<'k> {
     /// `u_init`, identity order, untiled, flags off), when it is a
     /// member of the joint space — the guided strategies' starting
     /// incumbent.
-    fn joint_seed(&self, space: &DesignSpace) -> Option<JointPoint> {
-        let (info, _) = self.analyze().ok()?;
+    fn joint_seed(info: &SaturationInfo, space: &DesignSpace) -> Option<JointPoint> {
         let factors = info.u_init.factors();
         let candidate = JointPoint {
             unroll: factors.to_vec(),
@@ -1375,10 +1388,7 @@ mod tests {
         assert_eq!(selected.estimate, exhaustive_best.estimate);
         // ...at a fraction of the tier-1 evaluations.
         assert_eq!(r.space_points as usize, sweep.len());
-        assert_eq!(
-            r.stats.strategy_visited + r.stats.bounded_pruned,
-            r.space_points
-        );
+        assert_eq!(r.stats.strategy_visited + r.pruned, r.space_points);
         // FIR alone measures ~4.7x; the >=5x headline is the paper-suite
         // aggregate, gated by `bench_joint --check` on BENCH_joint.json.
         assert!(

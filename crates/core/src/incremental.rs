@@ -27,7 +27,7 @@ use crate::explorer::{Explorer, Fidelity};
 use crate::search::SearchResult;
 use crate::trace::{NullSink, TraceEvent, TraceSink};
 use defacto_cache::{CacheTelemetry, PersistentCache};
-use defacto_ir::{canonicalize, CanonicalKernel, Kernel};
+use defacto_ir::{CanonicalKernel, Kernel};
 use defacto_synth::{FpgaDevice, MemoryModel};
 use defacto_xform::{PreparedKernel, UnrollVector};
 use std::sync::Arc;
@@ -62,7 +62,7 @@ pub struct IncrementalOutcome {
 
 /// Previous-revision state carried between edits.
 struct Previous {
-    canonical: CanonicalKernel,
+    canonical: Arc<CanonicalKernel>,
     prepared: Option<Arc<PreparedKernel>>,
 }
 
@@ -149,12 +149,6 @@ impl IncrementalSession {
     /// edit does not lose the warm state.
     pub fn explore(&mut self, kernel: &Kernel) -> Result<IncrementalOutcome> {
         let started = Instant::now();
-        let canonical = canonicalize(kernel);
-        let changed = match &self.previous {
-            Some(prev) => canonical.changed_subtrees(&prev.canonical),
-            None => Vec::new(),
-        };
-
         let mut explorer = Explorer::new(kernel)
             .engine(self.engine.clone())
             .persistent(self.store.clone())
@@ -176,6 +170,14 @@ impl IncrementalSession {
                 explorer = explorer.with_prepared(Arc::new(prepared));
             }
         }
+
+        // The explorer canonicalizes once; the edit diff, the store key
+        // and the persisted analysis summary all read that one form.
+        let canonical = explorer.canonical().clone();
+        let changed = match &self.previous {
+            Some(prev) => canonical.changed_subtrees(&prev.canonical),
+            None => Vec::new(),
+        };
 
         // Warm start: a previous selection for this exact canonical
         // kernel and context means the store already holds the estimates

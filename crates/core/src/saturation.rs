@@ -11,11 +11,11 @@
 //! carries no dependence unrolls into fully parallel copies, otherwise
 //! loops with larger minimum dependence distances are preferred.
 
-use crate::error::Result;
+use crate::error::{DseError, Result};
 use crate::space::DesignSpace;
-use defacto_analysis::{analyze_dependences_with_bounds, AccessTable};
-use defacto_ir::Kernel;
-use defacto_xform::{normalize_loops, transform, TransformOptions, UnrollVector};
+use defacto_analysis::AccessTable;
+use defacto_ir::{Kernel, Loop};
+use defacto_xform::{PreparedKernel, TransformOptions, UnrollVector, XformError};
 use std::collections::HashMap;
 
 /// The result of saturation analysis for one kernel.
@@ -133,6 +133,10 @@ impl SaturationInfo {
 /// figure sweep beyond the memory-varying loops); by default the space
 /// explores exactly the loops that vary steady memory addresses.
 ///
+/// Prepares the kernel and analyzes the preparation; an
+/// [`crate::Explorer`] analyzes its own (possibly reused) preparation
+/// instead.
+///
 /// # Errors
 ///
 /// Fails when the kernel is not a perfect loop nest or baseline
@@ -142,26 +146,39 @@ pub fn saturation_analysis(
     opts: &TransformOptions,
     explore_override: Option<&[bool]>,
 ) -> Result<(SaturationInfo, DesignSpace)> {
-    let normalized = normalize_loops(kernel)?;
-    let nest = normalized
-        .perfect_nest()
-        .ok_or(crate::error::DseError::NotPerfectNest)?;
-    let depth = nest.depth();
-    if depth == 0 {
-        return Err(crate::error::DseError::NoLoops);
-    }
-    let trips = nest.trip_counts();
-    let vars: Vec<String> = nest.loops().iter().map(|l| l.var.clone()).collect();
-    let var_refs: Vec<&str> = vars.iter().map(String::as_str).collect();
+    let prepared = PreparedKernel::prepare(kernel).map_err(preparation_error)?;
+    analyze_prepared(&prepared, opts, explore_override)
+}
 
-    // Dependence structure of the source nest, for U_init preferences.
-    let table = AccessTable::from_stmts(nest.innermost_body());
-    let bounds: Vec<(i64, i64)> = nest
-        .loops()
-        .iter()
-        .map(|l| (l.lower, l.upper - 1))
-        .collect();
-    let deps = analyze_dependences_with_bounds(&table, &var_refs, &bounds);
+/// The analysis error of a kernel that does not prepare: a kernel with
+/// no perfect nest is [`DseError::NotPerfectNest`], anything else (a
+/// normalization failure) stays a transformation error.
+pub(crate) fn preparation_error(e: XformError) -> DseError {
+    match e {
+        XformError::NotPerfectNest => DseError::NotPerfectNest,
+        e => DseError::Xform(e),
+    }
+}
+
+/// [`saturation_analysis`] over an already prepared kernel: the nest,
+/// its dependences and carried scalars come from the preparation, and
+/// the baseline is its unit-factor design (bit-identical to the scratch
+/// pipeline's).
+///
+/// # Errors
+///
+/// Fails when the nest has no loops or baseline transformation fails.
+pub(crate) fn analyze_prepared(
+    prepared: &PreparedKernel,
+    opts: &TransformOptions,
+    explore_override: Option<&[bool]>,
+) -> Result<(SaturationInfo, DesignSpace)> {
+    let depth = prepared.depth();
+    if depth == 0 {
+        return Err(DseError::NoLoops);
+    }
+    let trips: Vec<i64> = prepared.loops().iter().map(Loop::trip_count).collect();
+    let var_refs: Vec<&str> = prepared.var_names().iter().map(String::as_str).collect();
 
     // Baseline transformation *without peeling*: first-iteration register
     // loads stay guarded, so guarded accesses (one-time chain fills) are
@@ -170,7 +187,7 @@ pub fn saturation_analysis(
         peel: false,
         ..opts.clone()
     };
-    let baseline = transform(&normalized, &UnrollVector::ones(depth), &baseline_opts)?;
+    let baseline = prepared.transform(&UnrollVector::ones(depth), &baseline_opts)?;
     let all = AccessTable::from_stmts(baseline.kernel.body());
 
     // Uniformly generated sets over the steady (non-guarded) accesses,
@@ -221,25 +238,23 @@ pub fn saturation_analysis(
     // The predicate is the legality analysis's — the same one
     // `unroll_and_jam` and `PreparedKernel::validate_factors` enforce, so
     // the space and the transform gate can never disagree.
-    if depth >= 2
-        && !defacto_analysis::legality::carried_scalars(nest.innermost_body(), &var_refs).is_empty()
-    {
+    if depth >= 2 && !prepared.carried_scalars().is_empty() {
         for flag in explore.iter_mut().take(depth - 1) {
             *flag = false;
         }
     }
     let space = DesignSpace::new(&trips, &explore);
 
-    // Preference order.
-    let mut levels: Vec<usize> = (0..depth).collect();
-    levels.sort_by_key(|&l| {
+    // Preference order, from the source nest's dependence structure.
+    let deps = prepared.dependences();
+    let mut preference: Vec<usize> = (0..depth).collect();
+    preference.sort_by_key(|&l| {
         let carries = deps.loop_carries_dependence(l);
         let min_dist = deps.min_positive_distance(l).unwrap_or(1);
         // Dependence-free loops first; then larger minimum distances;
         // then outermost.
         (carries, std::cmp::Reverse(min_dist), l)
     });
-    let preference = levels;
 
     // Saturation set: product Psat over the explored loops; fall back to
     // the largest achievable product below Psat for tiny spaces.
@@ -254,20 +269,18 @@ pub fn saturation_analysis(
         }
     }
 
-    let info_partial = SaturationInfo {
+    let mut info = SaturationInfo {
         read_sets,
         write_sets,
         psat,
         unrollable: explore,
-        sat_set: sat_set.clone(),
-        u_init: base.clone(),
+        sat_set,
+        u_init: base,
         preference,
     };
-    let u_init = info_partial.pick_preferred(&sat_set).unwrap_or(base);
-    let info = SaturationInfo {
-        u_init,
-        ..info_partial
-    };
+    if let Some(u_init) = info.pick_preferred(&info.sat_set) {
+        info.u_init = u_init;
+    }
     Ok((info, space))
 }
 

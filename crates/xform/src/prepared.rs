@@ -54,6 +54,33 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+/// A normalized perfect nest taken apart: the normalized kernel,
+/// empty-bodied loop templates, induction variables and innermost body.
+type NestParts = (Kernel, Vec<Loop>, Vec<String>, Vec<Stmt>);
+
+/// The prologue of every preparation: normalize `kernel` and take its
+/// perfect nest apart.
+fn extract_nest(kernel: &Kernel) -> Result<NestParts> {
+    let normalized = normalize_loops(kernel)?;
+    let nest = normalized
+        .perfect_nest()
+        .ok_or(XformError::NotPerfectNest)?;
+    let loops: Vec<Loop> = nest
+        .loops()
+        .iter()
+        .map(|l| Loop {
+            var: l.var.clone(),
+            lower: l.lower,
+            upper: l.upper,
+            step: l.step,
+            body: Vec::new(),
+        })
+        .collect();
+    let var_names = loops.iter().map(|l| l.var.clone()).collect();
+    let base_body = nest.innermost_body().to_vec();
+    Ok((normalized, loops, var_names, base_body))
+}
+
 /// All point-invariant artifacts of one kernel's design-space walk; see
 /// the module docs. Shared across evaluation workers behind an `Arc` —
 /// the copy cache is internally synchronized.
@@ -103,25 +130,7 @@ impl PreparedKernel {
     /// nest. Callers fall back to [`crate::transform`] in that case so
     /// per-point errors stay identical.
     pub fn prepare(kernel: &Kernel) -> Result<PreparedKernel> {
-        let normalized = normalize_loops(kernel)?;
-        let (loops, var_names, base_body) = {
-            let nest = normalized
-                .perfect_nest()
-                .ok_or(XformError::NotPerfectNest)?;
-            let loops: Vec<Loop> = nest
-                .loops()
-                .iter()
-                .map(|l| Loop {
-                    var: l.var.clone(),
-                    lower: l.lower,
-                    upper: l.upper,
-                    step: l.step,
-                    body: Vec::new(),
-                })
-                .collect();
-            let var_names: Vec<String> = loops.iter().map(|l| l.var.clone()).collect();
-            (loops, var_names, nest.innermost_body().to_vec())
-        };
+        let (normalized, loops, var_names, base_body) = extract_nest(kernel)?;
         let base_table = AccessTable::from_stmts(&base_body);
         let var_refs: Vec<&str> = var_names.iter().map(String::as_str).collect();
         let bounds: Vec<(i64, i64)> = loops.iter().map(|l| (l.lower, l.upper - 1)).collect();
@@ -180,28 +189,11 @@ impl PreparedKernel {
     ///
     /// Same contract as [`Self::prepare`].
     pub fn prepare_reusing(kernel: &Kernel, prev: &PreparedKernel) -> Result<PreparedKernel> {
-        let normalized = normalize_loops(kernel)?;
-        let (loops, var_names, base_body) = {
-            let nest = normalized
-                .perfect_nest()
-                .ok_or(XformError::NotPerfectNest)?;
-            let loops: Vec<Loop> = nest
-                .loops()
-                .iter()
-                .map(|l| Loop {
-                    var: l.var.clone(),
-                    lower: l.lower,
-                    upper: l.upper,
-                    step: l.step,
-                    body: Vec::new(),
-                })
-                .collect();
-            let var_names: Vec<String> = loops.iter().map(|l| l.var.clone()).collect();
-            (loops, var_names, nest.innermost_body().to_vec())
-        };
+        let (normalized, loops, var_names, base_body) = extract_nest(kernel)?;
         if base_body != prev.base_body || var_names != prev.var_names {
             return Self::prepare(kernel);
         }
+        let var_refs: Vec<&str> = var_names.iter().map(String::as_str).collect();
         let same_bounds = loops.len() == prev.loops.len()
             && loops
                 .iter()
@@ -210,7 +202,6 @@ impl PreparedKernel {
         let deps = if same_bounds {
             prev.deps.clone()
         } else {
-            let var_refs: Vec<&str> = var_names.iter().map(String::as_str).collect();
             let bounds: Vec<(i64, i64)> = loops.iter().map(|l| (l.lower, l.upper - 1)).collect();
             analyze_dependences_with_bounds(&prev.base_table, &var_refs, &bounds)
         };
@@ -221,7 +212,6 @@ impl PreparedKernel {
         let legality = if same_bounds && normalized.arrays() == prev.normalized.arrays() {
             prev.legality.clone()
         } else {
-            let var_refs: Vec<&str> = var_names.iter().map(String::as_str).collect();
             let trips: Vec<i64> = loops.iter().map(Loop::trip_count).collect();
             LegalitySummary::from_parts(
                 &normalized,
@@ -354,6 +344,12 @@ impl PreparedKernel {
     /// [`crate::unroll::carried_scalars`].
     pub fn carried_scalars(&self) -> &[String] {
         &self.carried
+    }
+
+    /// Dependences of the base body under the nest's bounds — the input
+    /// of jam legality and of the search's unroll preferences.
+    pub fn dependences(&self) -> &DependenceGraph {
+        &self.deps
     }
 
     /// Evaluate one design point. Produces the same

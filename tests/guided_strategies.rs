@@ -88,7 +88,7 @@ fn branch_and_bound_is_bit_identical_to_the_exhaustive_joint_sweep() {
             // excluded by a tier-0 bound — none silently dropped.
             assert_eq!(r.space_points, sweep.len() as u64, "{name}");
             assert_eq!(
-                r.stats.strategy_visited + r.stats.bounded_pruned,
+                r.stats.strategy_visited + r.pruned,
                 r.space_points,
                 "{name} at {workers} workers"
             );

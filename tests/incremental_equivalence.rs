@@ -8,14 +8,18 @@
 //! behavioral estimate. These tests pin that contract across the full
 //! design spaces of the five paper kernels, under every pipeline option
 //! the `TransformOptions` struct exposes, and against the reference
-//! interpreter for end-to-end semantics.
+//! interpreter for end-to-end semantics. Saturation analysis read off a
+//! preparation reused across kernel revisions must likewise equal a fresh
+//! analysis of each revision.
 
 use defacto::prelude::*;
-use defacto_ir::run_with_inputs;
+use defacto_ir::visit::offset_vars_stmts;
+use defacto_ir::{canonicalize, run_with_inputs, Stmt};
 use defacto_kernels::{fir, jacobi, matmul, pattern, sobel, workload};
 use defacto_synth::{estimate_opts, SynthesisOptions};
 use defacto_xform::{transform, PreparedKernel, TransformedDesign};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 struct Case {
     name: &'static str,
@@ -70,6 +74,39 @@ fn paper_cases() -> Vec<Case> {
 fn full_space(kernel: &Kernel) -> Vec<UnrollVector> {
     let (_, space) = Explorer::new(kernel).analyze().expect("analyzable");
     space.iter().collect()
+}
+
+/// Revisions of `k` an editor session produces: unchanged, alpha-renamed,
+/// declarations reordered, the outermost loop's bounds shifted by +2 with
+/// compensated subscripts (all computing the same thing), and the
+/// outermost trip count halved (same body, new bounds).
+fn revisions(k: &Kernel) -> Vec<(&'static str, Kernel)> {
+    let mut arrays = k.arrays().to_vec();
+    arrays.reverse();
+    let reordered = Kernel::new(k.name(), arrays, k.scalars().to_vec(), k.body().to_vec())
+        .expect("reordered declarations stay valid");
+    let [Stmt::For(outer)] = k.body() else {
+        panic!("{}: paper kernels are perfect nests", k.name());
+    };
+    let mut shifted = outer.clone();
+    shifted.lower += 2;
+    shifted.upper += 2;
+    shifted.body = offset_vars_stmts(&outer.body, &[(outer.var.as_str(), -2)]);
+    let shifted = k
+        .with_body(vec![Stmt::For(shifted)])
+        .expect("shifted bounds stay valid");
+    let mut halved = outer.clone();
+    halved.upper = outer.lower + outer.trip_count() / 2;
+    let halved = k
+        .with_body(vec![Stmt::For(halved)])
+        .expect("a shorter outer loop stays valid");
+    vec![
+        ("unchanged", k.clone()),
+        ("alpha-renamed", canonicalize(k).kernel),
+        ("decl-reordered", reordered),
+        ("bounds-shifted", shifted),
+        ("outer-trip-halved", halved),
+    ]
 }
 
 fn assert_same_design(
@@ -177,6 +214,29 @@ fn option_variants() -> Vec<(&'static str, TransformOptions)> {
             },
         ),
     ]
+}
+
+/// An explorer seeded with a preparation reused from the previous
+/// revision (as incremental re-exploration does) analyzes every revision
+/// of every paper kernel exactly like a from-scratch
+/// `saturation_analysis`: same saturation point, preferences and space.
+#[test]
+fn analysis_from_a_reused_preparation_matches_a_fresh_one() {
+    let opts = TransformOptions::default();
+    for case in paper_cases() {
+        let base = PreparedKernel::prepare(&case.kernel).expect("prepare");
+        for (label, revision) in revisions(&case.kernel) {
+            let reused = PreparedKernel::prepare_reusing(&revision, &base)
+                .unwrap_or_else(|e| panic!("{} [{label}]: prepare_reusing: {e}", case.name));
+            let analyzed = Explorer::new(&revision)
+                .with_prepared(Arc::new(reused))
+                .analyze()
+                .unwrap_or_else(|e| panic!("{} [{label}]: reused analysis: {e}", case.name));
+            let fresh = saturation_analysis(&revision, &opts, None)
+                .unwrap_or_else(|e| panic!("{} [{label}]: fresh analysis: {e}", case.name));
+            assert_eq!(analyzed, fresh, "{} [{label}]", case.name);
+        }
+    }
 }
 
 /// Representative points under every pipeline option: the prepared path
